@@ -16,7 +16,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -95,6 +94,8 @@ var simEpoch = time.Unix(0, 0).UTC()
 type replica struct {
 	id      int
 	spec    ReplicaSpec
+	prec    string // spec.Precision with the empty default spelled "double"
+	class   int    // index into Fleet.classes
 	params  core.Params
 	model   model.EnergyModel // prices router estimates; analytic unless spec.Model overrides
 	cache   *server.ResultCache
@@ -143,9 +144,10 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 		return nil, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
 	}
 	var prec machine.Precision
-	switch spec.Precision {
+	precName := spec.Precision
+	switch precName {
 	case "", "double":
-		prec = machine.Double
+		prec, precName = machine.Double, "double"
 	case "single":
 		prec = machine.Single
 	default:
@@ -176,7 +178,7 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 	}
-	r := &replica{id: i, spec: spec, params: params, model: em}
+	r := &replica{id: i, spec: spec, prec: precName, params: params, model: em}
 	r.cache = server.NewResultCache(
 		spec.CacheEntries,
 		spec.CacheBytes,
@@ -190,11 +192,7 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 // key returns the production cache/coalescing key this replica computes
 // for req — the same hash the live server's POST /v1/eval handler uses.
 func (r *replica) key(req workload.Request) uint64 {
-	prec := r.spec.Precision
-	if prec == "" {
-		prec = "double"
-	}
-	return server.EvalKey(r.spec.Machine, prec, req.Work, req.Intensity)
+	return server.EvalKey(r.spec.Machine, r.prec, req.Work, req.Intensity)
 }
 
 // queueLen counts requests in service or queued (coalesced waiters
@@ -222,11 +220,50 @@ func (r *replica) pendingWork(now float64) float64 {
 type Fleet struct {
 	reps       []*replica
 	hitLatency float64
+	// classes groups the replicas into price classes (see priceClass);
+	// replica.class indexes it.
+	classes []priceClass
 	// estT and estE are scratch columns the energy-aware policy gathers
 	// per-replica (time, energy) estimates into before classifying them
 	// with the batch eq. 10 vocabulary; reused across Route calls so
 	// routing allocates nothing in steady state.
 	estT, estE []float64
+}
+
+// priceClass is a set of replicas whose content key and router price
+// for a miss are the same functions of the request: equal machine,
+// precision (empty meaning double), model and operating point. Cache
+// bounds differ freely inside a class; they only change which
+// replicas hit.
+type priceClass struct {
+	machine, prec string
+	model         model.EnergyModel
+	// key, capT and capE hold the content key and the miss price of
+	// the request being routed, refreshed by every estimateInto call.
+	key        uint64
+	capT, capE float64
+}
+
+// newFleet groups reps into price classes in first-appearance order.
+func newFleet(reps []*replica, hitLatency float64) *Fleet {
+	type classKey struct{ machine, prec, model, point string }
+	f := &Fleet{reps: reps, hitLatency: hitLatency}
+	index := map[classKey]int{}
+	for _, r := range reps {
+		m := r.spec.Model
+		if m == "" {
+			m = model.AnalyticName
+		}
+		k := classKey{r.spec.Machine, r.prec, m, r.spec.OperatingPoint}
+		c, ok := index[k]
+		if !ok {
+			c = len(f.classes)
+			index[k] = c
+			f.classes = append(f.classes, priceClass{machine: r.spec.Machine, prec: r.prec, model: r.model})
+		}
+		r.class = c
+	}
+	return f
 }
 
 // NumReplicas returns the fleet size.
@@ -235,16 +272,6 @@ func (f *Fleet) NumReplicas() int { return len(f.reps) }
 // QueueLen returns replica i's current queue occupancy (in service +
 // waiting, coalesced waiters excluded).
 func (f *Fleet) QueueLen(i int) int { return f.reps[i].queueLen() }
-
-// PendingWork returns the estimated seconds of service already
-// committed to replica i as of now.
-func (f *Fleet) PendingWork(now float64, i int) float64 { return f.reps[i].pendingWork(now) }
-
-// WouldHit reports whether replica i's cache currently holds req's
-// result (a recency-neutral probe; see server.ResultCache.Peek).
-func (f *Fleet) WouldHit(i int, req workload.Request) bool {
-	return f.reps[i].cache.Peek(f.reps[i].key(req))
-}
 
 // Event kinds inside the simulation heap.
 const (
@@ -263,35 +290,66 @@ type simEvent struct {
 	p       pending // evArrival
 }
 
-// eventHeap is a min-heap over (time, kind, seq).
+// eventHeap is a min-heap over (time, kind, seq). Its typed push and
+// pop move events by value, so scheduling allocates nothing once the
+// slice has grown.
 type eventHeap []simEvent
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a sorts ahead of b.
+func (a *simEvent) before(b *simEvent) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push adds ev and sifts it up to its place.
+func (h *eventHeap) push(ev simEvent) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	*h = q
+}
 
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(simEvent)) }
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+// pop removes and returns the earliest event; the heap must be
+// non-empty.
+func (h *eventHeap) pop() simEvent {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // maxSpansPerPolicy bounds the virtual spans one policy cell records,
@@ -323,7 +381,7 @@ type sim struct {
 func (s *sim) push(ev simEvent) {
 	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 }
 
 // runPolicy drives the whole request stream through a fresh fleet under
@@ -339,7 +397,7 @@ func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, po
 		reps[i] = r
 	}
 	s := &sim{
-		fleet:    &Fleet{reps: reps, hitLatency: sc.HitLatency},
+		fleet:    newFleet(reps, sc.HitLatency),
 		policy:   policy,
 		closed:   tr.Closed,
 		trace:    tr.Requests,
@@ -358,15 +416,15 @@ func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, po
 			s.push(simEvent{time: req.Time, kind: evArrival, p: pending{req: req, arrival: req.Time}})
 			s.nextCli[c] = c + tr.Clients
 		}
-		for s.events.Len() > 0 {
-			s.step(heap.Pop(&s.events).(simEvent))
+		for len(s.events) > 0 {
+			s.step(s.events.pop())
 		}
 	} else {
 		// Open loop: merge the pre-sorted arrival stream with the heap.
 		next := 0
-		for next < len(s.trace) || s.events.Len() > 0 {
-			if s.events.Len() > 0 && (next >= len(s.trace) || s.events[0].time <= s.trace[next].Time) {
-				s.step(heap.Pop(&s.events).(simEvent))
+		for next < len(s.trace) || len(s.events) > 0 {
+			if len(s.events) > 0 && (next >= len(s.trace) || s.events[0].time <= s.trace[next].Time) {
+				s.step(s.events.pop())
 				continue
 			}
 			req := s.trace[next]

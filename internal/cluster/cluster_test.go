@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -261,5 +262,42 @@ func TestRunScenarioRejectsInvalid(t *testing.T) {
 	sc.HitLatency = 0
 	if _, err := RunScenario(context.Background(), sc, Options{}); err == nil {
 		t.Fatal("RunScenario accepted a zero hit latency")
+	}
+}
+
+// TestEventHeapOrder checks the typed event heap against a linear-scan
+// reference queue: with pushes and pops interleaved over many (time,
+// kind) ties, every pop returns the (time, kind, seq) minimum of what
+// is queued.
+func TestEventHeapOrder(t *testing.T) {
+	r := stats.DeriveRand(1, stats.HashLabel("event-heap"))
+	var h eventHeap
+	var ref []simEvent
+	pop := func() {
+		m := 0
+		for i := range ref {
+			if ref[i].before(&ref[m]) {
+				m = i
+			}
+		}
+		want := ref[m]
+		ref = append(ref[:m], ref[m+1:]...)
+		if got := h.pop(); got != want {
+			t.Fatalf("pop = %+v, want %+v", got, want)
+		}
+	}
+	for seq := uint64(0); seq < 5000; seq++ {
+		ev := simEvent{time: float64(r.Intn(50)), kind: r.Intn(2), seq: seq}
+		h.push(ev)
+		ref = append(ref, ev)
+		if r.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if len(h) != 0 {
+		t.Fatalf("heap holds %d events after the reference drained", len(h))
 	}
 }

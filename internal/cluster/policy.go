@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/model"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
@@ -113,27 +113,18 @@ type energyAware struct{}
 // Name implements Policy.
 func (energyAware) Name() string { return EnergyAware }
 
-// estimate predicts (completion latency, marginal energy) for sending
-// req to replica i now, pricing a miss with the EnergyModel em: a
-// predicted cache hit costs the hit latency and its idle-power energy;
-// a miss waits out the replica's pending work and then runs the
-// kernel, costing em's capped time and energy predictions (eq. 6/9
-// under the default analytic model).
-func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.Request) (t, e float64) {
-	rep := f.reps[i]
-	if rep.cache.Peek(rep.key(req)) {
-		return f.hitLatency, rep.params.Pi0 * f.hitLatency
-	}
-	k := core.KernelAt(req.Work, req.Intensity)
-	return rep.pendingWork(now) + em.CappedTime(k), em.CappedEnergy(k)
-}
-
-// estimateInto gathers the per-replica (time, energy) estimates for req
-// into the fleet's scratch columns, growing them only on the first call
-// for a given fleet size. Each replica is priced by its own EnergyModel
-// (ReplicaSpec.Model; analytic by default, which makes the gathered
-// columns — and therefore every routing decision — byte-identical to
-// the pre-interface router).
+// estimateInto gathers the per-replica (completion latency, marginal
+// energy) estimates for req into the fleet's scratch columns, growing
+// them only on the first call for a given fleet size. A predicted cache
+// hit costs the hit latency and its idle-power energy; a miss waits out
+// the replica's pending work and then runs the kernel, costing its
+// EnergyModel's capped time and energy predictions (eq. 6/9 under the
+// default analytic model; ReplicaSpec.Model overrides).
+//
+// The content key and the miss price depend only on the replica's
+// price class, so each class is priced once per request; only the
+// cache probe, the pending work and the hit price are per replica.
+// The columns are bit-identical to pricing every replica on its own.
 func (f *Fleet) estimateInto(now float64, req workload.Request) (t, e []float64) {
 	n := len(f.reps)
 	if cap(f.estT) < n {
@@ -141,8 +132,19 @@ func (f *Fleet) estimateInto(now float64, req workload.Request) (t, e []float64)
 		f.estE = make([]float64, n)
 	}
 	t, e = f.estT[:n], f.estE[:n]
-	for i := 0; i < n; i++ {
-		t[i], e[i] = f.estimate(now, i, f.reps[i].model, req)
+	k := core.KernelAt(req.Work, req.Intensity)
+	for ci := range f.classes {
+		c := &f.classes[ci]
+		c.key = server.EvalKey(c.machine, c.prec, req.Work, req.Intensity)
+		c.capT, c.capE = c.model.CappedTime(k), c.model.CappedEnergy(k)
+	}
+	for i, rep := range f.reps {
+		c := &f.classes[rep.class]
+		if rep.cache.Peek(c.key) {
+			t[i], e[i] = f.hitLatency, rep.params.Pi0*f.hitLatency
+			continue
+		}
+		t[i], e[i] = rep.pendingWork(now)+c.capT, c.capE
 	}
 	return t, e
 }

@@ -143,8 +143,9 @@ func (c *ResultCache) Peek(key uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
-	if !ok {
-		return false
+	if !ok || c.ttl <= 0 {
+		// Without a TTL nothing expires: skip loading the entry.
+		return ok
 	}
 	return c.live(el.Value.(*cacheEntry))
 }

@@ -184,6 +184,13 @@ func TestCachePeek(t *testing.T) {
 	if c.Peek(2) {
 		t.Error("Peek hit an expired entry")
 	}
+	// Without a TTL nothing expires, however far the clock moves.
+	c = NewResultCache(2, 1<<20, 0, clk.now)
+	c.Put(4, []byte("four"))
+	clk.advance(1000 * time.Hour)
+	if !c.Peek(4) || c.Peek(5) {
+		t.Error("Peek on a TTL-free cache must report exactly the stored keys")
+	}
 }
 
 // TestFlightTableBookkeeping pins the shared singleflight bookkeeping
